@@ -166,16 +166,6 @@ int64_t MatchSplitMinSlice() {
   return EnvIntClamped("PSI_MATCH_SPLIT_MIN_SLICE", 8, 1, kCountMax);
 }
 
-// 0 = stealing off; > 0 = local recursion nodes before spilling starts.
-int64_t MatchSteal() {
-  return EnvIntClamped("PSI_MATCH_STEAL", 0, 0,
-                       std::numeric_limits<int64_t>::max() / 2);
-}
-
-int64_t MatchStealDepth() {
-  return EnvIntClamped("PSI_MATCH_STEAL_DEPTH", 1, 1, 8);
-}
-
 bool MatchSimdEnabled() {
   return EnvIntClamped("PSI_MATCH_SIMD", 1, 0, 1) != 0;
 }

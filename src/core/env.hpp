@@ -112,19 +112,6 @@ int64_t MatchSplit();
 /// over tiny slices.
 int64_t MatchSplitMinSlice();
 
-/// Work-stealing spill threshold below the root split (PSI_MATCH_STEAL,
-/// default 0 = off): when > 0, a split range task starts spilling
-/// depth-PSI_MATCH_STEAL_DEPTH subtrees into the shared embedding queue
-/// (match/steal.hpp) once it has expanded this many local recursion
-/// nodes, for idle sibling ranges to steal. Never changes answers or the
-/// emitted stream, only wall-clock.
-int64_t MatchSteal();
-
-/// Prefix depth of spilled partial embeddings (PSI_MATCH_STEAL_DEPTH,
-/// default 1, clamped to [1, 8]): subtrees are stolen whole at this depth
-/// of the enumeration order.
-int64_t MatchStealDepth();
-
 /// SIMD kill switch for the multiway intersection kernel (PSI_MATCH_SIMD,
 /// default 1, clamped to [0, 1]): 0 pins the scalar galloping
 /// intersection, non-zero lets runtime dispatch pick the best CPU path

@@ -372,8 +372,6 @@ size_t TaskGroup::pending() const {
   return pending_;
 }
 
-bool TaskGroup::HelpOne() { return executor_->TryRunOneFromGroup(this); }
-
 void TaskGroup::RequestStop() {
   // Failpoint (kDelay): stretches the window between a winner finishing
   // and the losers observing cancellation — the timing the chaos harness

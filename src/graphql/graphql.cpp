@@ -1,11 +1,10 @@
 #include "graphql/graphql.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <span>
+#include <vector>
 
-#include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
-#include "match/scratch.hpp"
+#include "match/extend.hpp"
 
 namespace psi {
 
@@ -28,125 +27,48 @@ bool MultisetContained(const std::vector<LabelId>& a,
   return i == a.size();
 }
 
-// Per-query search state: candidate bitmaps/lists, refinement, ordering and
-// the final backtracking join. All O(|V|)-sized buffers live in the leased
-// CandidateScratch (epoch-stamped, reused across calls on one thread) —
-// FTV matches one query against many candidates and NFV serves thousands
-// of queries per prepared matcher, so the former per-call
-// allocate-and-zero-fill of the O(|V| * nq) candidate bitmap was pure
-// churn.
+// Per-query candidate filtering, refinement and ordering; the backtracking
+// join itself is the one GraphQL shares with sPath (CandidateJoin). All
+// O(|V|)-sized buffers live in the join's leased CandidateScratch
+// (epoch-stamped, reused across calls on one thread) — FTV matches one
+// query against many candidates and NFV serves thousands of queries per
+// prepared matcher, so a per-call allocate-and-zero-fill of the
+// O(|V| * nq) candidate bitmap would be pure churn.
 class GqlSearch {
  public:
   GqlSearch(const Graph& q, const Graph& g,
             const std::vector<std::vector<LabelId>>& signatures,
-            const GraphQlOptions& options, const MatchOptions& opts,
-            const CandidateIndex* index, CandidateScratch& scr)
+            const GraphQlOptions& options, CandidateJoin& join)
       : q_(q),
         g_(g),
         signatures_(signatures),
         options_(options),
-        opts_(opts),
-        index_(index),
-        scr_(scr),
-        nv_(g.num_vertices()),
-        guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2) {
-    scr_.BeginCall(q.num_vertices(), nv_);
-    if (index_ != nullptr && ResolveMultiwayEnabled(opts.multiway)) {
-      multiway_ = true;
-      simd_ = ResolveSimdLevel(opts.simd);
-      mw_.resize(q.num_vertices());
-    }
-  }
+        join_(join),
+        scr_(join.scratch()) {}
 
-  MatchResult Run() {
-    const auto start = std::chrono::steady_clock::now();
-    MatchResult r;
-    if (q_.num_vertices() == 0) {
-      r.embedding_count = 1;
-      r.complete = true;
-      if (opts_.sink) opts_.sink(Embedding{});
-      r.elapsed = std::chrono::steady_clock::now() - start;
-      return r;
-    }
-    bool feasible = BuildCandidates();
-    if (feasible) feasible = Refine();
-    if (feasible && !guard_.interrupted()) {
-      BuildOrder();
-      scr_.map.assign(q_.num_vertices(), kInvalidVertex);
-      uint32_t start_depth = 0;
-      if (opts_.resume != nullptr) {
-        // Re-enter mid-search: the candidate build, refinement and order
-        // above are pure functions of (query, graph), so they reproduce
-        // the spilling owner's state exactly (their shared-stage counters
-        // are gated on primary_range(), false here). Replay the prefix
-        // along the rebuilt order, then enumerate its subtree.
-        const std::vector<VertexId>& prefix = opts_.resume->prefix;
-        for (uint32_t d = 0; d < prefix.size(); ++d) {
-          scr_.map[scr_.order[d]] = prefix[d];
-          SetUsed(prefix[d]);
-        }
-        start_depth = static_cast<uint32_t>(prefix.size());
-      }
-      Recurse(start_depth);
-    }
-    r.embedding_count = found_;
-    r.complete = !guard_.interrupted();
-    r.timed_out = guard_.state() == Interrupt::kDeadline;
-    r.cancelled = guard_.state() == Interrupt::kCancelled;
-    r.stats = stats_;
-    r.elapsed = std::chrono::steady_clock::now() - start;
-    return r;
+  // The join's preparation: false when some candidate list empties.
+  bool Prepare() {
+    if (!BuildCandidates() || !Refine()) return false;
+    BuildOrder();
+    return true;
   }
 
  private:
-  // Epoch-stamped views over the scratch: a cell is set iff it carries the
-  // current call's epoch.
-  bool CandBit(VertexId u, VertexId v) const {
-    return scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] == scr_.epoch;
-  }
-  void SetCand(VertexId u, VertexId v) {
-    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = scr_.epoch;
-  }
-  void ClearCand(VertexId u, VertexId v) {
-    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = 0;
-  }
-  bool Used(VertexId v) const { return scr_.used_stamp[v] == scr_.epoch; }
-  void SetUsed(VertexId v) { scr_.used_stamp[v] = scr_.epoch; }
-  void ClearUsed(VertexId v) { scr_.used_stamp[v] = 0; }
-
-  // Stage 1: label + signature containment. Returns false if some query
-  // vertex ends up with no candidates. The candidate index's NLF
-  // fingerprint runs before the O(d) multiset walk — multiset containment
-  // implies fingerprint containment, so the prefilter only skips work,
-  // never changes the candidate lists.
+  // Stage 1: label + signature containment. The candidate index's NLF
+  // fingerprint runs before the O(d) multiset walk (CandidateJoin::Filter)
+  // — multiset containment implies fingerprint containment, so the
+  // prefilter only skips work, never changes the candidate lists.
   bool BuildCandidates() {
     const uint32_t nq = q_.num_vertices();
-    std::vector<uint64_t> qnlf;
-    if (index_ != nullptr) qnlf = CandidateIndex::QueryNlf(q_);
     // Query-side signatures.
     std::vector<std::vector<LabelId>> qsig(nq);
     for (VertexId u = 0; u < nq; ++u) {
       for (VertexId w : q_.neighbors(u)) qsig[u].push_back(q_.label(w));
       std::sort(qsig[u].begin(), qsig[u].end());
     }
-    for (VertexId u = 0; u < nq; ++u) {
-      for (VertexId v : g_.VerticesWithLabel(q_.label(u))) {
-        if (guard_.Check() != Interrupt::kNone) return false;
-        if (g_.degree(v) < q_.degree(u)) continue;
-        if (index_ != nullptr &&
-            !index_->NlfAdmits(qnlf[u], q_.degree(u), v)) {
-          // Every split range repeats this shared build stage; the
-          // primary range alone counts it (exact stats folding).
-          if (opts_.primary_range()) ++stats_.nlf_rejects;
-          continue;
-        }
-        if (!MultisetContained(qsig[u], signatures_[v])) continue;
-        scr_.cand_list[u].push_back(v);
-        SetCand(u, v);
-      }
-      if (scr_.cand_list[u].empty()) return false;
-    }
-    return true;
+    return join_.Filter([&](VertexId u, VertexId v) {
+      return MultisetContained(qsig[u], signatures_[v]);
+    });
   }
 
   // Bipartite semi-perfect matching test for candidate pair (u, v):
@@ -168,7 +90,7 @@ class GqlSearch {
   bool Augment(std::span<const VertexId> qn, std::span<const VertexId> gn,
                int i) {
     for (size_t j = 0; j < gn.size(); ++j) {
-      if (scr_.visited[j] || !CandBit(qn[i], gn[j])) continue;
+      if (scr_.visited[j] || !join_.CandBit(qn[i], gn[j])) continue;
       scr_.visited[j] = 1;
       if (scr_.match_right[j] < 0 || Augment(qn, gn, scr_.match_right[j])) {
         scr_.match_right[j] = i;
@@ -187,12 +109,12 @@ class GqlSearch {
         auto& list = scr_.cand_list[u];
         size_t keep = 0;
         for (size_t k = 0; k < list.size(); ++k) {
-          if (guard_.Check() != Interrupt::kNone) return false;
+          if (join_.step().Interrupted()) return false;
           const VertexId v = list[k];
           if (NeighborsMatchable(u, v)) {
             list[keep++] = v;
           } else {
-            ClearCand(u, v);
+            join_.DropCandidate(u, v);
             changed = true;
           }
         }
@@ -241,121 +163,12 @@ class GqlSearch {
     }
   }
 
-  bool Recurse(uint32_t depth) {
-    if (depth == scr_.order.size()) {
-      ++found_;
-      if (opts_.sink && !opts_.sink(scr_.map)) return false;
-      return found_ < opts_.max_embeddings;
-    }
-    // Work stealing: offer the subtree out before counting its node or
-    // computing its candidate source (the thief's resumed call then
-    // counts exactly what serial would have). The prefix is read off the
-    // current assignment along the enumeration order.
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes) {
-      spill_buf_.clear();
-      for (uint32_t d = 0; d < depth; ++d) {
-        spill_buf_.push_back(scr_.map[scr_.order[d]]);
-      }
-      if (opts_.spill->Offer(spill_buf_)) return true;
-    }
-    // The shared depth-0 node belongs to the primary split range (exact
-    // per-range stats folding — see MatchOptions).
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
-    const VertexId u = scr_.order[depth];
-    // Anchor on the placed neighbour whose image offers the smallest
-    // candidate source — its label slice under the index, raw degree
-    // otherwise.
-    const LabelId ul = q_.label(u);
-    // Multiway (WCOJ) extension: with >= 2 placed neighbours, intersect
-    // all their label slices at once (match/intersect.hpp) — the survivor
-    // sequence equals the anchored enumeration filtered by the edge loop,
-    // in the same (degree, id) order. Skipped at a non-zero resume cursor
-    // (spilled subtrees resume at cursor 0 in practice).
-    std::span<const VertexId> source;
-    bool mw = false;
-    if (multiway_ && depth > 0 &&
-        (opts_.resume == nullptr ||
-         depth != static_cast<uint32_t>(opts_.resume->prefix.size()) ||
-         opts_.resume->cursor == 0)) {
-      auto& mws = mw_[depth];
-      mws.inputs.clear();
-      auto qadj = q_.neighbors(u);
-      auto qel = q_.edge_labels(u);
-      for (size_t i = 0; i < qadj.size(); ++i) {
-        const VertexId img = scr_.map[qadj[i]];
-        if (img != kInvalidVertex) mws.inputs.push_back({img, qel[i]});
-      }
-      if (mws.inputs.size() >= 2) {
-        source = ExtendCandidates(*index_, g_, ul, simd_, mws, stats_);
-        mw = true;
-      }
-    }
-    if (!mw) {
-      const VertexId anchor_img = CandidateIndex::PickAnchorImage(
-          index_, q_, g_, u, ul,
-          [this](VertexId w) { return scr_.map[w]; });
-      source = CandidateIndex::AnchoredSource(
-          index_, g_, anchor_img, ul,
-          std::span<const VertexId>(scr_.cand_list[u]), stats_);
-      // A split task enumerates only its block of the root frontier.
-      if (depth == 0) source = SplitRootCandidates(source, opts_);
-      // A resumed call skips the candidates before its cursor at the
-      // resume depth (entered exactly once, straight from Run).
-      if (opts_.resume != nullptr &&
-          depth == static_cast<uint32_t>(opts_.resume->prefix.size())) {
-        source = source.subspan(
-            std::min<size_t>(opts_.resume->cursor, source.size()));
-      }
-    }
-    for (VertexId v : source) {
-      if (guard_.Check() != Interrupt::kNone) return false;
-      ++stats_.candidates_tried;
-      if (Used(v) || !CandBit(u, v)) continue;
-      if (!mw) {
-        // The intersection settles the backward edge loop; the legacy
-        // source still checks each placed neighbour per candidate.
-        bool edges_ok = true;
-        auto qadj = q_.neighbors(u);
-        auto qel = q_.edge_labels(u);
-        for (size_t i = 0; i < qadj.size(); ++i) {
-          const VertexId w = qadj[i];
-          if (scr_.map[w] == kInvalidVertex) continue;
-          if (!CandidateIndex::CheckEdge(index_, g_, v, scr_.map[w], qel[i],
-                                         stats_)) {
-            edges_ok = false;
-            break;
-          }
-        }
-        if (!edges_ok) continue;
-      }
-      scr_.map[u] = v;
-      SetUsed(v);
-      const bool keep_going = Recurse(depth + 1);
-      ClearUsed(v);
-      scr_.map[u] = kInvalidVertex;
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
   const Graph& q_;
   const Graph& g_;
   const std::vector<std::vector<LabelId>>& signatures_;
   const GraphQlOptions& options_;
-  const MatchOptions& opts_;
-  const CandidateIndex* index_;
+  CandidateJoin& join_;
   CandidateScratch& scr_;
-  const uint32_t nv_;
-  CostGuard guard_;
-  MatchStats stats_;
-  uint64_t found_ = 0;
-  std::vector<VertexId> spill_buf_;  // prefix scratch for Offer()
-  // Multiway extension kernel (match/intersect.hpp); per-depth scratch so
-  // deeper extensions never clobber an outer survivor span.
-  bool multiway_ = false;
-  SimdLevel simd_ = SimdLevel::kScalar;
-  std::vector<MultiwayScratch> mw_;
 };
 
 }  // namespace
@@ -377,9 +190,9 @@ Status GraphQlMatcher::Prepare(const Graph& data) {
 MatchResult GraphQlMatcher::Match(const Graph& query,
                                   const MatchOptions& opts) const {
   ScratchLease scratch;
-  GqlSearch search(query, *data_, signatures_, options_, opts,
-                   candidate_index(), *scratch);
-  MatchResult r = search.Run();
+  CandidateJoin join(query, *data_, candidate_index(), opts, *scratch);
+  GqlSearch search(query, *data_, signatures_, options_, join);
+  MatchResult r = join.Run([&search] { return search.Prepare(); });
   NoteMatch(opts, r.stats);
   return r;
 }

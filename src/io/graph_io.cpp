@@ -54,8 +54,15 @@ Result<GraphDataset> ReadGfu(std::istream& in, LabelDict* dict) {
     if (!ParseUint(line, &n64)) {
       return ParseError(line_no, "bad vertex count '" + line + "'");
     }
+    // Vertex ids are 32-bit with kInvalidVertex reserved: a larger count
+    // is corrupt, not something to truncate into a different graph.
+    if (n64 >= kInvalidVertex) {
+      return ParseError(line_no, "vertex count " + line + " out of range");
+    }
     const auto n = static_cast<uint32_t>(n64);
-    GraphBuilder b(n);
+    // The builder grows with the vertices actually read: sizing it from
+    // the unchecked header would let a short file allocate gigabytes.
+    GraphBuilder b;
     for (uint32_t v = 0; v < n; ++v) {
       if (!NextLine(in, &line, &line_no)) {
         return ParseError(line_no, "missing vertex label");

@@ -36,39 +36,6 @@ using Embedding = std::vector<VertexId>;
 /// early (used by tests and by decision-mode callers).
 using EmbeddingSink = std::function<bool(const Embedding&)>;
 
-/// A partial embedding a search was suspended at: the data-graph images of
-/// the first `prefix.size()` query vertices in the matcher's (fully
-/// deterministic) enumeration order, plus the candidate cursor at the
-/// resume depth — the search re-enters at `prefix.size()` skipping the
-/// first `cursor` candidates there. Every matcher's next-vertex choice and
-/// candidate order are pure functions of the assignment, so replaying the
-/// prefix reconstructs the exact mid-search state and the resumed call
-/// emits precisely the subtree the suspending call skipped.
-struct MatchResumeState {
-  std::vector<VertexId> prefix;
-  uint32_t cursor = 0;
-};
-
-/// Spill hook for work stealing (match/steal.hpp): when set on a call,
-/// the matcher offers whole subtrees at depth `depth` — before expanding
-/// them, and only once the call has itself expanded `min_nodes` local
-/// recursion nodes — to this interface. A true return means the subtree
-/// is now owned by the queue (the matcher must skip it and count nothing
-/// for it); false (queue full) means enumerate it inline as usual.
-class MatchSpill {
- public:
-  virtual ~MatchSpill() = default;
-  /// Offers the subtree rooted at `prefix` (images of the first
-  /// prefix.size() query vertices in enumeration order).
-  virtual bool Offer(std::span<const VertexId> prefix) = 0;
-
-  /// Prefix length at which subtrees are offered (>= 1).
-  uint32_t depth = 1;
-  /// Local recursion nodes a call must expand before it starts offering
-  /// (keeps trivially small ranges from paying the queue toll).
-  uint64_t min_nodes = 0;
-};
-
 /// Knobs for one Match() call.
 struct MatchOptions {
   /// Stop after this many embeddings. The paper caps NFV searches at 1000
@@ -104,23 +71,6 @@ struct MatchOptions {
   /// Total number of root blocks; 0 or 1 = unsplit (the default).
   uint32_t num_root_ranges = 0;
 
-  // ---- Work stealing below the root split (match/steal.hpp) ----
-  //
-  // `resume` re-enters a search at a previously spilled partial
-  // embedding: the call enumerates exactly that subtree (root_range /
-  // num_root_ranges must match the spilling call so root slicing and
-  // candidate order reproduce). A resumed call replays the prefix without
-  // counting — the spilling owner already counted every node and
-  // candidate on the path — so primary_range() is false for it and the
-  // shared pre-enumeration work is never double-counted. `spill` lets the
-  // call offer its own subtrees out; a resumed call may spill again only
-  // if the driver re-arms it (the split driver does not).
-
-  /// Resume mid-search at this partial embedding (null = fresh search).
-  const MatchResumeState* resume = nullptr;
-  /// Subtree spill hook; null disables stealing for the call.
-  MatchSpill* spill = nullptr;
-
   // ---- Multiway (WCOJ) extension kernel (match/intersect.hpp) ----
   //
   // When enabled and the candidate index is active, a matcher extends a
@@ -142,10 +92,7 @@ struct MatchOptions {
 
   bool split_task() const { return num_root_ranges > 1; }
   /// True for the range that owns the shared (pre-enumeration) counters.
-  /// Resumed calls never are: their owner counted that work already.
-  bool primary_range() const {
-    return (!split_task() || root_range == 0) && resume == nullptr;
-  }
+  bool primary_range() const { return !split_task() || root_range == 0; }
 };
 
 /// The contiguous block of the root candidate list a split task
@@ -236,18 +183,6 @@ class MatchKernelStats {
     }
   }
 
-  /// Work-stealing traffic of one split-enumerated call (match/steal.hpp):
-  /// subtrees spilled into the embedding queue, the subset popped by a
-  /// range other than their owner, offers declined for any reason, and
-  /// the capacity-declined (queue-full backpressure) subset of those.
-  void NoteSteal(uint64_t spills, uint64_t stolen, uint64_t declined,
-                 uint64_t queue_full) {
-    steal_spills_.fetch_add(spills, std::memory_order_relaxed);
-    steal_stolen_.fetch_add(stolen, std::memory_order_relaxed);
-    steal_declined_.fetch_add(declined, std::memory_order_relaxed);
-    steal_queue_full_.fetch_add(queue_full, std::memory_order_relaxed);
-  }
-
   /// One observed per-range latency spread (max range time over mean,
   /// >= 1) of a split call that ran >= 2 pool ranges. Folded as an EWMA
   /// (new = (3*old + s) / 4) in milli fixed-point; races between
@@ -287,10 +222,6 @@ class MatchKernelStats {
   std::atomic<uint64_t> split_tasks_{0};
   std::atomic<uint64_t> split_tasks_inline_{0};
   std::atomic<uint64_t> split_budget_stops_{0};
-  std::atomic<uint64_t> steal_spills_{0};
-  std::atomic<uint64_t> steal_stolen_{0};
-  std::atomic<uint64_t> steal_declined_{0};
-  std::atomic<uint64_t> steal_queue_full_{0};
   std::atomic<uint64_t> split_spread_milli_{0};
 };
 
@@ -367,12 +298,11 @@ class Matcher {
   /// builds one when the kernel is enabled, clears it when disabled.
   void PrepareCandidateIndex(const Graph& data);
 
-  /// Kernel-stats recording for one Match() call: a split task or a
-  /// resumed steal unit must NOT note itself (the driver notes the merged
-  /// stats once per logical call — otherwise a k-way split would inflate
-  /// `matches` k-fold).
+  /// Kernel-stats recording for one Match() call: a split task must NOT
+  /// note itself (the driver notes the merged stats once per logical call
+  /// — otherwise a k-way split would inflate `matches` k-fold).
   void NoteMatch(const MatchOptions& opts, const MatchStats& s) const {
-    if (!opts.split_task() && opts.resume == nullptr) {
+    if (!opts.split_task()) {
       kernel_stats_.Note(s, candidate_index() != nullptr);
     }
   }

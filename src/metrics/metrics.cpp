@@ -248,12 +248,6 @@ std::string FormatKernelGauges(const PoolGauges& g) {
     out += " split_budget_stops=" +
            std::to_string(g.kernel_split_budget_stops);
   }
-  if (g.kernel_steal_spills > 0 || g.kernel_steal_declined > 0) {
-    out += " steal_spills=" + std::to_string(g.kernel_steal_spills);
-    out += " steal_stolen=" + std::to_string(g.kernel_steal_stolen);
-    out += " steal_declined=" + std::to_string(g.kernel_steal_declined);
-    out += " steal_queue_full=" + std::to_string(g.kernel_steal_queue_full);
-  }
   out += "]";
   return out;
 }

@@ -161,13 +161,10 @@ struct PoolGauges {
   uint64_t kernel_split_tasks = 0;    ///< range tasks run on the pool
   uint64_t kernel_split_tasks_inline = 0;  ///< displaced ranges, run inline
   uint64_t kernel_split_budget_stops = 0;  ///< shared-budget fast-cancels
-  // Work-stealing gauges below the root split (match/steal.hpp).
-  uint64_t kernel_steal_spills = 0;  ///< subtrees spilled into the queue
-  uint64_t kernel_steal_stolen = 0;  ///< spills popped by a sibling range
-  uint64_t kernel_steal_declined = 0;  ///< offers refused (any reason)
-  uint64_t kernel_steal_queue_full = 0;  ///< declines due to capacity —
-                                         ///< the backpressure subset of
-                                         ///< kernel_steal_declined
+  /// Always 0: the split driver does not steal work below the root
+  /// (match/parallel.hpp). Kept because perfbench reads it for its
+  /// kernel.steal_spills_per_query metric.
+  uint64_t kernel_steal_spills = 0;
 
   // ---- Fault / degradation counters (fault/failpoint.hpp) ----
   //

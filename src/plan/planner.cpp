@@ -85,8 +85,8 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
       // widening the race: one split step at the full budget. The width
       // follows the winner's observed straggler profile (EWMA of
       // max/mean per-range latency, MatchKernelStats): a spread of s
-      // means the slowest range ran ~s times the mean, so ceil(s)+1
-      // ranges let stealing level it; until a split has reported
+      // means the slowest range ran ~s times the mean, and the width is
+      // sized at ceil(s)+1 ranges; until a split has reported
       // (spread 0, or a matcher-less entry) the configured width stands.
       size_t split_width = options_.split_workers;
       const Matcher* winner = portfolio_->entries[order[0]].matcher;

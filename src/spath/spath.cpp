@@ -1,12 +1,9 @@
 #include "spath/spath.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 
-#include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
-#include "match/scratch.hpp"
+#include "match/extend.hpp"
 
 namespace psi {
 
@@ -84,243 +81,24 @@ bool SignatureDominates(const std::vector<NsEntry>& query_sig,
   return true;
 }
 
-// Backtracking join over the path-cover order. Like GraphQL, all
-// O(|V|)-sized buffers live in the leased epoch-stamped CandidateScratch
-// instead of being allocated and zero-filled per call.
-class SpaSearch {
- public:
-  SpaSearch(const Graph& q, const Graph& g,
-            const std::vector<std::vector<NsEntry>>& data_sig,
-            const SPathOptions& options, const MatchOptions& opts,
-            const SPathMatcher& matcher, const CandidateIndex* index,
-            CandidateScratch& scr)
-      : q_(q),
-        g_(g),
-        data_sig_(data_sig),
-        options_(options),
-        opts_(opts),
-        matcher_(matcher),
-        index_(index),
-        scr_(scr),
-        nv_(g.num_vertices()),
-        guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2) {
-    scr_.BeginCall(q.num_vertices(), nv_);
-    if (index_ != nullptr && ResolveMultiwayEnabled(opts.multiway)) {
-      multiway_ = true;
-      simd_ = ResolveSimdLevel(opts.simd);
-      mw_.resize(q.num_vertices());
+// Flattens the greedy path cover of `q` into a vertex visit order.
+void PathCoverOrder(const SPathMatcher& matcher, const Graph& q,
+                    std::vector<VertexId>* order) {
+  order->clear();
+  std::vector<uint8_t> placed(q.num_vertices(), 0);
+  for (const auto& path : matcher.DecomposeQuery(q)) {
+    for (VertexId u : path) {
+      if (!placed[u]) {
+        placed[u] = 1;
+        order->push_back(u);
+      }
     }
   }
-
-  MatchResult Run() {
-    const auto start = std::chrono::steady_clock::now();
-    MatchResult r;
-    if (q_.num_vertices() == 0) {
-      r.embedding_count = 1;
-      r.complete = true;
-      if (opts_.sink) opts_.sink(Embedding{});
-      r.elapsed = std::chrono::steady_clock::now() - start;
-      return r;
-    }
-    if (BuildCandidates()) {
-      BuildOrder();
-      scr_.map.assign(q_.num_vertices(), kInvalidVertex);
-      uint32_t start_depth = 0;
-      if (opts_.resume != nullptr) {
-        // Re-enter mid-search: candidate build and path-cover order are
-        // pure functions of (query, graph), so they reproduce the
-        // spilling owner's state exactly (shared-stage counters gated on
-        // primary_range(), false here). Replay the prefix, then
-        // enumerate its subtree.
-        const std::vector<VertexId>& prefix = opts_.resume->prefix;
-        for (uint32_t d = 0; d < prefix.size(); ++d) {
-          scr_.map[scr_.order[d]] = prefix[d];
-          SetUsed(prefix[d]);
-        }
-        start_depth = static_cast<uint32_t>(prefix.size());
-      }
-      Recurse(start_depth);
-    }
-    r.embedding_count = found_;
-    r.complete = !guard_.interrupted();
-    r.timed_out = guard_.state() == Interrupt::kDeadline;
-    r.cancelled = guard_.state() == Interrupt::kCancelled;
-    r.stats = stats_;
-    r.elapsed = std::chrono::steady_clock::now() - start;
-    return r;
+  // Safety net for isolated query vertices (absent from any path).
+  for (VertexId u = 0; u < q.num_vertices(); ++u) {
+    if (!placed[u]) order->push_back(u);
   }
-
- private:
-  bool CandBit(VertexId u, VertexId v) const {
-    return scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] == scr_.epoch;
-  }
-  void SetCand(VertexId u, VertexId v) {
-    scr_.cand_stamp[static_cast<size_t>(u) * nv_ + v] = scr_.epoch;
-  }
-  bool Used(VertexId v) const { return scr_.used_stamp[v] == scr_.epoch; }
-  void SetUsed(VertexId v) { scr_.used_stamp[v] = scr_.epoch; }
-  void ClearUsed(VertexId v) { scr_.used_stamp[v] = 0; }
-
-  // The NLF prefilter runs before the O(labels * radius) dominance walk;
-  // dominance at distance 1 implies fingerprint containment, so the
-  // prefilter only skips work, never changes the candidate lists.
-  bool BuildCandidates() {
-    const auto query_sig =
-        BuildDistanceSignatures(q_, options_.radius);
-    const uint32_t nq = q_.num_vertices();
-    std::vector<uint64_t> qnlf;
-    if (index_ != nullptr) qnlf = CandidateIndex::QueryNlf(q_);
-    for (VertexId u = 0; u < nq; ++u) {
-      for (VertexId v : g_.VerticesWithLabel(q_.label(u))) {
-        if (guard_.Check() != Interrupt::kNone) return false;
-        if (g_.degree(v) < q_.degree(u)) continue;
-        if (index_ != nullptr &&
-            !index_->NlfAdmits(qnlf[u], q_.degree(u), v)) {
-          // Every split range repeats this shared build stage; the
-          // primary range alone counts it (exact stats folding).
-          if (opts_.primary_range()) ++stats_.nlf_rejects;
-          continue;
-        }
-        if (!SignatureDominates(query_sig[u], data_sig_[v])) continue;
-        scr_.cand_list[u].push_back(v);
-        SetCand(u, v);
-      }
-      if (scr_.cand_list[u].empty()) return false;
-    }
-    return true;
-  }
-
-  // Flattens the greedy path cover into a vertex visit order.
-  void BuildOrder() {
-    scr_.order.clear();
-    std::vector<uint8_t> placed(q_.num_vertices(), 0);
-    for (const auto& path : matcher_.DecomposeQuery(q_)) {
-      for (VertexId u : path) {
-        if (!placed[u]) {
-          placed[u] = 1;
-          scr_.order.push_back(u);
-        }
-      }
-    }
-    // Safety net for isolated query vertices (absent from any path).
-    for (VertexId u = 0; u < q_.num_vertices(); ++u) {
-      if (!placed[u]) scr_.order.push_back(u);
-    }
-  }
-
-  bool Recurse(uint32_t depth) {
-    if (depth == scr_.order.size()) {
-      ++found_;
-      if (opts_.sink && !opts_.sink(scr_.map)) return false;
-      return found_ < opts_.max_embeddings;
-    }
-    // Work stealing: offer the subtree out before counting its node or
-    // computing its candidate source (the thief's resumed call then
-    // counts exactly what serial would have).
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes) {
-      spill_buf_.clear();
-      for (uint32_t d = 0; d < depth; ++d) {
-        spill_buf_.push_back(scr_.map[scr_.order[d]]);
-      }
-      if (opts_.spill->Offer(spill_buf_)) return true;
-    }
-    // The shared depth-0 node belongs to the primary split range (exact
-    // per-range stats folding — see MatchOptions).
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
-    const VertexId u = scr_.order[depth];
-    const LabelId ul = q_.label(u);
-    // Multiway (WCOJ) extension: with >= 2 placed neighbours, intersect
-    // all their label slices at once (match/intersect.hpp) — the survivor
-    // sequence equals the anchored enumeration filtered by the edge loop,
-    // in the same (degree, id) order. Skipped at a non-zero resume cursor
-    // (spilled subtrees resume at cursor 0 in practice).
-    std::span<const VertexId> source;
-    bool mw = false;
-    if (multiway_ && depth > 0 &&
-        (opts_.resume == nullptr ||
-         depth != static_cast<uint32_t>(opts_.resume->prefix.size()) ||
-         opts_.resume->cursor == 0)) {
-      auto& mws = mw_[depth];
-      mws.inputs.clear();
-      auto qadj = q_.neighbors(u);
-      auto qel = q_.edge_labels(u);
-      for (size_t i = 0; i < qadj.size(); ++i) {
-        const VertexId img = scr_.map[qadj[i]];
-        if (img != kInvalidVertex) mws.inputs.push_back({img, qel[i]});
-      }
-      if (mws.inputs.size() >= 2) {
-        source = ExtendCandidates(*index_, g_, ul, simd_, mws, stats_);
-        mw = true;
-      }
-    }
-    if (!mw) {
-      const VertexId anchor_img = CandidateIndex::PickAnchorImage(
-          index_, q_, g_, u, ul,
-          [this](VertexId w) { return scr_.map[w]; });
-      source = CandidateIndex::AnchoredSource(
-          index_, g_, anchor_img, ul,
-          std::span<const VertexId>(scr_.cand_list[u]), stats_);
-      // A split task enumerates only its block of the root frontier.
-      if (depth == 0) source = SplitRootCandidates(source, opts_);
-      // A resumed call skips the candidates before its cursor at the
-      // resume depth (entered exactly once, straight from Run).
-      if (opts_.resume != nullptr &&
-          depth == static_cast<uint32_t>(opts_.resume->prefix.size())) {
-        source = source.subspan(
-            std::min<size_t>(opts_.resume->cursor, source.size()));
-      }
-    }
-    for (VertexId v : source) {
-      if (guard_.Check() != Interrupt::kNone) return false;
-      ++stats_.candidates_tried;
-      if (Used(v) || !CandBit(u, v)) continue;
-      if (!mw) {
-        // Edge-by-edge verification against the partial embedding, edge
-        // labels included (the intersection settles this for survivors).
-        bool edges_ok = true;
-        auto qadj = q_.neighbors(u);
-        auto qel = q_.edge_labels(u);
-        for (size_t i = 0; i < qadj.size(); ++i) {
-          const VertexId w = qadj[i];
-          if (scr_.map[w] == kInvalidVertex) continue;
-          if (!CandidateIndex::CheckEdge(index_, g_, v, scr_.map[w], qel[i],
-                                         stats_)) {
-            edges_ok = false;
-            break;
-          }
-        }
-        if (!edges_ok) continue;
-      }
-      scr_.map[u] = v;
-      SetUsed(v);
-      const bool keep_going = Recurse(depth + 1);
-      ClearUsed(v);
-      scr_.map[u] = kInvalidVertex;
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  const Graph& q_;
-  const Graph& g_;
-  const std::vector<std::vector<NsEntry>>& data_sig_;
-  const SPathOptions& options_;
-  const MatchOptions& opts_;
-  const SPathMatcher& matcher_;
-  const CandidateIndex* index_;
-  CandidateScratch& scr_;
-  const uint32_t nv_;
-  CostGuard guard_;
-  MatchStats stats_;
-  uint64_t found_ = 0;
-  std::vector<VertexId> spill_buf_;  // prefix scratch for Offer()
-  // Multiway extension kernel (match/intersect.hpp); per-depth scratch so
-  // deeper extensions never clobber an outer survivor span.
-  bool multiway_ = false;
-  SimdLevel simd_ = SimdLevel::kScalar;
-  std::vector<MultiwayScratch> mw_;
-};
+}
 
 }  // namespace
 
@@ -424,10 +202,24 @@ std::vector<std::vector<VertexId>> SPathMatcher::DecomposeQuery(
 
 MatchResult SPathMatcher::Match(const Graph& query,
                                 const MatchOptions& opts) const {
+  // The backtracking join is the one sPath shares with GraphQL; sPath
+  // supplies the dominance filter and the path-cover order.
   ScratchLease scratch;
-  SpaSearch search(query, *data_, ns_, options_, opts, *this,
-                   candidate_index(), *scratch);
-  MatchResult r = search.Run();
+  CandidateJoin join(query, *data_, candidate_index(), opts, *scratch);
+  MatchResult r = join.Run([&] {
+    // The NLF prefilter (CandidateJoin::Filter) runs before the
+    // O(labels * radius) dominance walk; dominance at distance 1 implies
+    // fingerprint containment, so the prefilter only skips work, never
+    // changes the candidate lists.
+    const auto query_sig = BuildDistanceSignatures(query, options_.radius);
+    if (!join.Filter([&](VertexId u, VertexId v) {
+          return SignatureDominates(query_sig[u], ns_[v]);
+        })) {
+      return false;
+    }
+    PathCoverOrder(*this, query, &scratch->order);
+    return true;
+  });
   NoteMatch(opts, r.stats);
   return r;
 }

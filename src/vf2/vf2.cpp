@@ -1,10 +1,9 @@
 #include "vf2/vf2.hpp"
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
-#include "match/candidate_index.hpp"
-#include "match/intersect.hpp"
+#include "match/extend.hpp"
 
 namespace psi {
 
@@ -19,60 +18,24 @@ class Vf2State {
            const CandidateIndex* index)
       : q_(q),
         g_(g),
-        opts_(opts),
-        index_(index),
-        guard_(opts.stop, opts.deadline, opts.guard_period, opts.stop2),
+        step_(q, g, index, opts),
         core_q_(q.num_vertices(), kInvalidVertex),
         core_g_(g.num_vertices(), kInvalidVertex),
         in_q_(q.num_vertices(), 0),
-        in_g_(g.num_vertices(), 0) {
-    if (index_ != nullptr) {
-      qnlf_ = CandidateIndex::QueryNlf(q);
-      if (ResolveMultiwayEnabled(opts.multiway)) {
-        multiway_ = true;
-        simd_ = ResolveSimdLevel(opts.simd);
-        mw_.resize(q.num_vertices());
-      }
-    }
-  }
+        in_g_(g.num_vertices(), 0) {}
 
   MatchResult Run() {
-    const auto start = std::chrono::steady_clock::now();
-    MatchResult r;
-    if (q_.num_vertices() == 0) {
-      // The empty query has exactly one (empty) embedding.
-      r.embedding_count = 1;
-      r.complete = true;
-      if (opts_.sink) opts_.sink(Embedding{});
-    } else if (opts_.resume != nullptr) {
-      // Re-enter mid-search: replay the spilled prefix stat-free (the
-      // spilling owner counted the whole path) and enumerate exactly the
-      // subtree it skipped. NextQueryVertex is a pure function of the
-      // assignment, so the replay reconstructs the owner's order.
-      const std::vector<VertexId>& prefix = opts_.resume->prefix;
-      for (uint32_t d = 0; d < prefix.size(); ++d) {
-        Push(NextQueryVertex(), prefix[d], d);
-      }
-      Recurse(static_cast<uint32_t>(prefix.size()));
-      r.embedding_count = found_;
-      r.complete = !guard_.interrupted();
-      r.timed_out = guard_.state() == Interrupt::kDeadline;
-      r.cancelled = guard_.state() == Interrupt::kCancelled;
-    } else if (FeasibleOnCounts()) {
-      Recurse(0);
-      r.embedding_count = found_;
-      r.complete = !guard_.interrupted();
-      r.timed_out = guard_.state() == Interrupt::kDeadline;
-      r.cancelled = guard_.state() == Interrupt::kCancelled;
-    } else {
-      r.complete = true;
-    }
-    r.stats = stats_;
-    r.elapsed = std::chrono::steady_clock::now() - start;
-    return r;
+    return step_.Run([this] {
+      if (FeasibleOnCounts()) Recurse(0);
+    });
   }
 
  private:
+  // The data image of query vertex qw (kInvalidVertex while unmatched).
+  auto Image() const {
+    return [this](VertexId qw) { return core_q_[qw]; };
+  }
+
   // Cheap global reject: not enough vertices of some label in g.
   bool FeasibleOnCounts() const {
     if (q_.num_vertices() > g_.num_vertices()) return false;
@@ -102,18 +65,7 @@ class Vf2State {
     // Rule 1 — consistency: every matched neighbour of qv must map to a
     // neighbour of gv through an equally-labelled edge (non-induced: one
     // direction only).
-    {
-      auto adj = q_.neighbors(qv);
-      auto elabels = q_.edge_labels(qv);
-      for (size_t i = 0; i < adj.size(); ++i) {
-        const VertexId qw = adj[i];
-        if (core_q_[qw] == kInvalidVertex) continue;
-        if (!CandidateIndex::CheckEdge(index_, g_, gv, core_q_[qw],
-                                       elabels[i], stats_)) {
-          return false;
-        }
-      }
-    }
+    if (!step_.EdgesToMatched(qv, gv, Image())) return false;
     return FeasibleLookahead(qv, gv);
   }
 
@@ -168,94 +120,28 @@ class Vf2State {
   // Returns false when the search should unwind entirely (cap reached or
   // interrupted).
   bool Recurse(uint32_t depth) {
-    if (depth == q_.num_vertices()) {
-      ++found_;
-      if (opts_.sink && !opts_.sink(core_q_)) return false;
-      return found_ < opts_.max_embeddings;
-    }
-    // Work stealing: offer the whole subtree out *before* counting its
-    // node — an accepted offer means this call counts nothing for it and
-    // the thief's resumed call counts exactly what serial would have.
-    if (opts_.spill != nullptr && depth == opts_.spill->depth && depth > 0 &&
-        stats_.recursion_nodes >= opts_.spill->min_nodes &&
-        opts_.spill->Offer(path_)) {
-      return true;
-    }
-    // The shared depth-0 node is counted by the primary split range only,
-    // so per-range stats merged with MatchStats::Add equal the serial
-    // counters exactly.
-    if (depth != 0 || opts_.primary_range()) ++stats_.recursion_nodes;
+    if (depth == q_.num_vertices()) return step_.Emit(core_q_);
+    step_.EnterNode(depth);
     const VertexId qv = NextQueryVertex();
-
-    // Candidate enumeration in ascending data-vertex id (slice-internal
-    // (degree, id) order under the index). If qv has a
-    // matched neighbour, its image's adjacency is the tightest candidate
-    // source (rule 1 pre-applied); otherwise fall back to the label index.
-    // With the candidate index the anchor's *label slice* replaces its
-    // full adjacency, and the anchor itself is chosen by the size of that
-    // label-restricted slice, not raw degree (PickAnchorImage).
-    const LabelId ql = q_.label(qv);
-    // Multiway (WCOJ) extension: with >= 2 matched backward neighbours,
-    // intersect all their label slices at once (match/intersect.hpp). The
-    // survivor sequence equals the legacy anchored enumeration filtered by
-    // rule 1, in the same (degree, id) order, so the stream is unchanged.
-    // Skipped at a non-zero resume cursor (the legacy span subsetting
-    // applies there; in practice spilled subtrees resume at cursor 0).
-    std::span<const VertexId> candidates;
+    // Candidates in ascending data-vertex id (slice-internal (degree, id)
+    // order under the index): the multiway intersection, else the
+    // smallest source among matched neighbours' images (rule 1
+    // pre-applied for that neighbour), else the label index.
     bool mw = false;
-    if (multiway_ && depth > 0 &&
-        (opts_.resume == nullptr ||
-         depth != static_cast<uint32_t>(opts_.resume->prefix.size()) ||
-         opts_.resume->cursor == 0)) {
-      auto& scr = mw_[depth];
-      scr.inputs.clear();
-      auto adj = q_.neighbors(qv);
-      auto elabels = q_.edge_labels(qv);
-      for (size_t i = 0; i < adj.size(); ++i) {
-        const VertexId img = core_q_[adj[i]];
-        if (img != kInvalidVertex) scr.inputs.push_back({img, elabels[i]});
-      }
-      if (scr.inputs.size() >= 2) {
-        candidates = ExtendCandidates(*index_, g_, ql, simd_, scr, stats_);
-        mw = true;
-      }
-    }
-    if (!mw) {
-      const VertexId anchor = CandidateIndex::PickAnchorImage(
-          index_, q_, g_, qv, ql,
-          [this](VertexId qw) { return core_q_[qw]; });
-      candidates =
-          CandidateIndex::AnchoredSource(index_, g_, anchor, ql,
-                                         g_.VerticesWithLabel(ql), stats_);
-      // A split task enumerates only its block of the root frontier.
-      if (depth == 0) candidates = SplitRootCandidates(candidates, opts_);
-      // A resumed call skips the candidates before its cursor at the
-      // resume depth (entered exactly once, straight from Run).
-      if (opts_.resume != nullptr &&
-          depth == static_cast<uint32_t>(opts_.resume->prefix.size())) {
-        candidates = candidates.subspan(
-            std::min<size_t>(opts_.resume->cursor, candidates.size()));
-      }
-    }
-
+    const std::span<const VertexId> candidates = step_.Candidates(
+        depth, qv, g_.VerticesWithLabel(q_.label(qv)), Image(), &mw);
     for (VertexId gv : candidates) {
-      if (guard_.Check() != Interrupt::kNone) return false;
+      if (step_.Interrupted()) return false;
       if (core_g_[gv] != kInvalidVertex) continue;
-      if (index_ != nullptr &&
-          !index_->NlfAdmits(qnlf_[qv], q_.degree(qv), gv)) {
-        ++stats_.nlf_rejects;
+      if (!step_.NlfAdmits(qv, gv)) {
+        ++step_.stats().nlf_rejects;
         continue;
       }
-      ++stats_.candidates_tried;
+      ++step_.stats().candidates_tried;
+      // Multiway survivors already satisfy the label and rule 1.
       if (mw ? !FeasibleLookahead(qv, gv) : !Feasible(qv, gv)) continue;
       Push(qv, gv, depth);
-      // Track the assignment path up to the spill depth (VF2's vertex
-      // order is dynamic, so the prefix cannot be reconstructed from
-      // core_q_ without it).
-      const bool track = opts_.spill != nullptr && depth < opts_.spill->depth;
-      if (track) path_.push_back(gv);
       const bool keep_going = Recurse(depth + 1);
-      if (track) path_.pop_back();
       Pop(qv, gv, depth);
       if (!keep_going) return false;
     }
@@ -264,27 +150,12 @@ class Vf2State {
 
   const Graph& q_;
   const Graph& g_;
-  const MatchOptions& opts_;
-  const CandidateIndex* index_;
-  CostGuard guard_;
-  MatchStats stats_;
-  uint64_t found_ = 0;
+  ExtensionStep step_;
   std::vector<VertexId> core_q_;
   std::vector<VertexId> core_g_;
   // Depth+1 at which the vertex joined the terminal set; 0 = not a member.
   std::vector<uint32_t> in_q_;
   std::vector<uint32_t> in_g_;
-  // Query-side NLF fingerprints; empty when index_ == nullptr.
-  std::vector<uint64_t> qnlf_;
-  // Multiway extension kernel (match/intersect.hpp): enabled only with
-  // the index; one scratch per depth so a deeper extension never clobbers
-  // the survivor span an outer loop is iterating.
-  bool multiway_ = false;
-  SimdLevel simd_ = SimdLevel::kScalar;
-  std::vector<MultiwayScratch> mw_;
-  // Data-vertex images along the current path, maintained (only when a
-  // spill hook is set) up to the spill depth — the prefix Offer() hands out.
-  std::vector<VertexId> path_;
 };
 
 }  // namespace

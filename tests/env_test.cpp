@@ -165,22 +165,5 @@ TEST(EnvClampTest, MultiwayAndSimdKnobs) {
   unsetenv("PSI_MATCH_MULTIWAY");
 }
 
-TEST(EnvClampTest, StealKnobs) {
-  unsetenv("PSI_MATCH_STEAL");
-  unsetenv("PSI_MATCH_STEAL_DEPTH");
-  EXPECT_EQ(MatchSteal(), 0);       // off by default
-  EXPECT_EQ(MatchStealDepth(), 1);  // shallowest spill by default
-  testing::internal::CaptureStderr();
-  setenv("PSI_MATCH_STEAL", "5000", 1);
-  setenv("PSI_MATCH_STEAL_DEPTH", "99", 1);
-  EXPECT_EQ(MatchSteal(), 5000);
-  EXPECT_EQ(MatchStealDepth(), 8);  // clamped to the documented [1, 8]
-  setenv("PSI_MATCH_STEAL_DEPTH", "0", 1);
-  EXPECT_EQ(MatchStealDepth(), 1);
-  (void)testing::internal::GetCapturedStderr();
-  unsetenv("PSI_MATCH_STEAL");
-  unsetenv("PSI_MATCH_STEAL_DEPTH");
-}
-
 }  // namespace
 }  // namespace psi

@@ -74,6 +74,25 @@ TEST(GfuTest, RejectsGarbage) {
   }
 }
 
+TEST(GfuTest, RejectsVertexCountBeyondVertexIds) {
+  LabelDict dict;
+  // 2^32 + 1 must not truncate to 1 and parse as a one-vertex graph.
+  std::istringstream in("#g\n4294967297\nA\n0\n");
+  auto ds = ReadGfu(in, &dict);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), Status::Code::kCorruption);
+}
+
+TEST(GfuTest, HugeVertexCountThenEofIsCorruption) {
+  LabelDict dict;
+  // In range for 32-bit ids but backed by no vertex lines: the reader must
+  // fail at the first missing label without reserving for the header.
+  std::istringstream in("#g\n4294967294\n");
+  auto ds = ReadGfu(in, &dict);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), Status::Code::kCorruption);
+}
+
 // Structure must survive a round trip exactly; label *ids* may permute
 // (the reader interns labels in first-seen order), so labels are compared
 // through their external names.

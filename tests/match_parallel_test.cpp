@@ -15,8 +15,9 @@
 //    capacity-1 shedding pool, where displaced ranges re-run inline —
 //    still answer exactly like serial racing.
 //  * kSplit escalation: a warm staged planner with split_workers emits
-//    the probe→split plan, and a guaranteed probe miss escalates to the
-//    split stage with the correct answer.
+//    the probe→split plan, a guaranteed probe miss escalates to the
+//    split stage with the correct answer, and the split width follows
+//    the winner's observed straggler spread.
 //  * Concurrency: 8 client threads hammering one shared pool with split
 //    calls (runs under TSan in CI), and cancellation arriving mid-split.
 
@@ -398,6 +399,64 @@ TEST(MatchParallelPlanTest, ProbeMissEscalatesToSplitStageWithCorrectAnswer) {
     EXPECT_TRUE(r.escalated);
     EXPECT_EQ(r.stages_run, 2u);
     EXPECT_EQ(r.race.result.embedding_count, want);
+  }
+}
+
+// The planner's adaptive split width: full split_workers while the
+// winner's straggler profile is cold, clamp(ceil(spread)+1, 2, max) once
+// NoteRangeSpread has reported.
+TEST(MatchParallelPlanTest, SplitWidthFollowsStragglerSpread) {
+  const Graph g = MakeDataGraph(21);
+  GraphQlMatcher gql;
+  SPathMatcher spa;
+  ASSERT_TRUE(gql.Prepare(g).ok());
+  ASSERT_TRUE(spa.Prepare(g).ok());
+  Portfolio p;
+  p.entries.push_back({&gql, Rewriting::kOriginal, 0});
+  p.entries.push_back({&spa, Rewriting::kOriginal, 0});
+  const LabelStats stats = LabelStats::FromGraph(g);
+  QueryPlannerOptions po;
+  po.budget = std::chrono::milliseconds(100);
+  po.staged = true;
+  po.min_samples = 2;
+  po.split_workers = 8;
+  QueryPlanner planner;
+  planner.Configure(&p, &stats, po);
+  const auto queries = MakeQueries(g, 21);
+  ASSERT_FALSE(queries.empty());
+  const QueryFeatures f = ExtractFeatures(queries[0].graph, stats);
+  planner.Observe(f, 0);
+  planner.Observe(f, 0);
+  // Cold straggler profile: the configured ceiling stands.
+  {
+    const QueryPlan plan = planner.Plan(f);
+    ASSERT_EQ(plan.escalation, EscalationPolicy::kSplit);
+    ASSERT_EQ(plan.stages.size(), 2u);
+    EXPECT_EQ(plan.stages[1].steps[0].split, 8u);
+  }
+  // Warm: spread 2.5 -> ceil(2.5) + 1 = 4 ranges suffice.
+  gql.kernel_stats().NoteRangeSpread(2.5);
+  {
+    const QueryPlan plan = planner.Plan(f);
+    ASSERT_EQ(plan.escalation, EscalationPolicy::kSplit);
+    EXPECT_EQ(plan.stages[1].steps[0].split, 4u);
+    EXPECT_NE(plan.name.find("split4"), std::string::npos) << plan.name;
+  }
+  // A flat profile (spread ~1) floors at 2, never 1.
+  GraphQlMatcher flat;
+  ASSERT_TRUE(flat.Prepare(g).ok());
+  flat.kernel_stats().NoteRangeSpread(1.0);
+  Portfolio p2;
+  p2.entries.push_back({&flat, Rewriting::kOriginal, 0});
+  p2.entries.push_back({&spa, Rewriting::kOriginal, 0});  // staging needs n>1
+  QueryPlanner planner2;
+  planner2.Configure(&p2, &stats, po);
+  planner2.Observe(f, 0);
+  planner2.Observe(f, 0);
+  {
+    const QueryPlan plan = planner2.Plan(f);
+    ASSERT_EQ(plan.escalation, EscalationPolicy::kSplit);
+    EXPECT_EQ(plan.stages[1].steps[0].split, 2u);
   }
 }
 

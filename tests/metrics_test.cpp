@@ -184,19 +184,6 @@ TEST(PoolGaugesTest, DerivedRatesAndFormatting) {
   EXPECT_NE(s.find("util=50%"), std::string::npos);
 }
 
-TEST(PoolGaugesTest, KernelGaugesRenderStealCountersWhenPresent) {
-  PoolGauges g;
-  g.kernel_matches = 3;
-  EXPECT_EQ(FormatKernelGauges(g).find("steal_"), std::string::npos);
-  g.kernel_steal_spills = 12;
-  g.kernel_steal_stolen = 7;
-  g.kernel_steal_declined = 5;
-  const std::string s = FormatKernelGauges(g);
-  EXPECT_NE(s.find("steal_spills=12"), std::string::npos) << s;
-  EXPECT_NE(s.find("steal_stolen=7"), std::string::npos) << s;
-  EXPECT_NE(s.find("steal_declined=5"), std::string::npos) << s;
-}
-
 TEST(PoolGaugesTest, EmptyPoolIsWellDefined) {
   PoolGauges g;
   EXPECT_DOUBLE_EQ(g.utilization(), 0.0);

@@ -6,9 +6,9 @@
 //    embedding *stream* must be byte-identical with multiway off (the
 //    PR 5 enumerate-then-check path), multiway on at the scalar level,
 //    and multiway on at the active SIMD level — serially and under the
-//    root split with stealing on. SIMD vs. scalar must also agree on
+//    root split. SIMD vs. scalar must also agree on
 //    every effort counter except simd_galloped.
-//  * Counter exactness: serial vs. split + steal with multiway on report
+//  * Counter exactness: serial vs. split with multiway on report
 //    exactly equal MatchStats, the new multiway counters included.
 //  * Degraded pools: a capacity-0 reject-all pool and a shedding pool
 //    (every range re-runs inline / displaced) stay byte-identical and
@@ -88,8 +88,7 @@ Capture Serial(const Matcher& m, const Graph& q, int multiway, int simd) {
 }
 
 Capture Split(const Matcher& m, const Graph& q, int multiway, int simd,
-              size_t width, Executor* exec, size_t steal,
-              size_t steal_depth) {
+              size_t width, Executor* exec) {
   Capture r;
   MatchOptions mo;
   mo.max_embeddings = 1u << 30;
@@ -103,8 +102,6 @@ Capture Split(const Matcher& m, const Graph& q, int multiway, int simd,
   po.split = width;
   po.min_slice = 1;
   po.executor = exec;
-  po.steal = steal;
-  po.steal_depth = steal_depth;
   r.result = MatchParallel(m, q, mo, po);
   return r;
 }
@@ -117,7 +114,7 @@ void ExpectSameStream(const Capture& got, const Capture& want,
 }
 
 // Full counter equality, the multiway triple included — for comparing two
-// runs of the *same* kernel configuration (serial vs. split/steal).
+// runs of the *same* kernel configuration (serial vs. split).
 void ExpectSameStats(const MatchStats& a, const MatchStats& b,
                      const char* tag) {
   EXPECT_EQ(a.recursion_nodes, b.recursion_nodes) << tag;
@@ -146,7 +143,7 @@ void ExpectSameStatsModuloSimd(const MatchStats& simd,
   EXPECT_EQ(scalar.simd_galloped, 0u) << tag;
 }
 
-// ---- Differential: multiway on/off x SIMD on/off, serial + split/steal --
+// ---- Differential: multiway on/off x SIMD on/off, serial + split ----
 
 TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
   Executor pool(/*num_threads=*/4);
@@ -157,7 +154,6 @@ TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
     const auto queries = MakeQueries(g, static_cast<uint64_t>(seed));
     const int which = seed % 4;
     const size_t width = (seed % 2) == 0 ? 2 : 4;
-    const size_t depth = 1 + static_cast<size_t>(seed % 2);
     auto m = MakeMatcher(which);
     m->set_candidate_index(CandidateIndex::Build(g));
     ASSERT_TRUE(m->Prepare(g).ok());
@@ -170,17 +166,17 @@ TEST(MultiwayDifferentialTest, StreamsIdenticalAcrossModesAndMatchers) {
       ExpectSameStatsModuloSimd(simd.result.stats, scalar.result.stats,
                                 m->name().data());
       total_intersections += simd.result.stats.multiway_intersections;
-      // Root split with stealing on, multiway on: still the legacy
-      // stream, and exactly the serial multiway counters.
+      // Root split, multiway on: still the legacy stream, and exactly
+      // the serial multiway counters.
       const Capture split = Split(*m, q.graph, /*multiway=*/1, /*simd=*/-1,
-                                  width, &pool, /*steal=*/1, depth);
+                                  width, &pool);
       ExpectSameStream(split, legacy, m->name().data());
       ExpectSameStats(split.result.stats, simd.result.stats,
                       m->name().data());
-      // And multiway off under the same split: the PR 7 invariant holds
-      // with the new options plumbed through.
-      const Capture split_off = Split(*m, q.graph, /*multiway=*/0, 0, width,
-                                      &pool, /*steal=*/1, depth);
+      // And multiway off under the same split: still the serial stream
+      // with the multiway options plumbed through.
+      const Capture split_off =
+          Split(*m, q.graph, /*multiway=*/0, 0, width, &pool);
       ExpectSameStream(split_off, legacy, m->name().data());
     }
   }
@@ -205,7 +201,7 @@ TEST(MultiwayTest, CapacityZeroRejectPoolStaysExact) {
   ASSERT_TRUE(m.Prepare(g).ok());
   for (const auto& q : queries) {
     const Capture serial = Serial(m, q.graph, /*multiway=*/1, /*simd=*/-1);
-    const Capture on = Split(m, q.graph, 1, -1, 4, &pool, 1, 2);
+    const Capture on = Split(m, q.graph, 1, -1, 4, &pool);
     ExpectSameStream(on, serial, "capacity0+multiway");
     ExpectSameStats(on.result.stats, serial.result.stats,
                     "capacity0+multiway");
@@ -226,7 +222,7 @@ TEST(MultiwayTest, SheddingPoolStaysExact) {
   ASSERT_TRUE(m.Prepare(g).ok());
   for (const auto& q : queries) {
     const Capture serial = Serial(m, q.graph, /*multiway=*/1, /*simd=*/-1);
-    const Capture on = Split(m, q.graph, 1, -1, 8, &pool, 1, 2);
+    const Capture on = Split(m, q.graph, 1, -1, 8, &pool);
     ExpectSameStream(on, serial, "shed+multiway");
     ExpectSameStats(on.result.stats, serial.result.stats, "shed+multiway");
   }
