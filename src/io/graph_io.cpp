@@ -85,6 +85,11 @@ Result<GraphDataset> ReadGfu(std::istream& in, LabelDict* dict) {
       if (!(es >> u >> v)) {
         return ParseError(line_no, "bad edge '" + line + "'");
       }
+      if (u >= n || v >= n) {
+        return ParseError(line_no, "edge '" + line +
+                                       "' names a vertex beyond the " +
+                                       std::to_string(n) + " declared");
+      }
       b.AddEdge(u, v);
     }
     auto g = b.Build(name);

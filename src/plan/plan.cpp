@@ -139,27 +139,19 @@ PlanResult ExecutePortfolioPlan(const QueryPlan& plan,
   // Rewritten queries must outlive the races; owned here (shared with the
   // cache when one is given — cached entries also survive this frame).
   std::vector<std::shared_ptr<const RewrittenQuery>> rewritten(n);
+  // The query is hashed once, not once per referenced variant.
+  const uint64_t query_fp = cache != nullptr ? QueryFingerprint(query) : 0;
   std::vector<RaceVariant> universe(n);
   for (size_t i = 0; i < n; ++i) {
     const PortfolioEntry& e = portfolio.entries[i];
     universe[i].name = EntryName(e);
     if (referenced[i] == 0) continue;
-    if (cache != nullptr) {
-      rewritten[i] = cache->Get(query, e.rewriting, stats, e.random_seed);
-    } else {
-      auto rq = RewriteQuery(query, e.rewriting, stats, e.random_seed);
-      if (rq.ok()) {
-        rewritten[i] =
-            std::make_shared<const RewrittenQuery>(std::move(rq).value());
-      } else {
-        // Rewriting a valid query cannot fail; race the original instead
-        // (same defensive posture as the legacy RunPortfolio).
-        auto fallback = std::make_shared<RewrittenQuery>();
-        fallback->graph = query;
-        fallback->rewriting = Rewriting::kOriginal;
-        rewritten[i] = std::move(fallback);
-      }
-    }
+    rewritten[i] = cache != nullptr
+                       ? cache->GetWithFingerprint(query_fp, query,
+                                                   e.rewriting, stats,
+                                                   e.random_seed)
+                       : RewriteOrOriginal(query, e.rewriting, stats,
+                                           e.random_seed);
     universe[i].run = [matcher = e.matcher,
                        rq = rewritten[i]](const MatchOptions& mo) {
       return matcher->Match(rq->graph, mo);

@@ -24,6 +24,7 @@ void QueryPlanner::Configure(const Portfolio* portfolio,
   stats_ = stats;
   options_ = options;
   selector_ = OnlineSelector();
+  learned_samples_.store(0, std::memory_order_relaxed);
 }
 
 QueryPlan QueryPlanner::Plan(const Graph& query) const {
@@ -36,6 +37,20 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
   const size_t n = portfolio_->entries.size();
   if (n == 0) return plan;
 
+  // Only a staged probe or a narrowed race acts on a variant order. The
+  // classic unstaged, unnarrowed race needs no ordering decision at all:
+  // it races in portfolio order without touching the selector (warm or
+  // not), so planning it stays O(1) in the learned history.
+  const bool can_narrow = CanNarrow();
+  const bool can_stage = CanStage();
+  if (!can_narrow && !can_stage) {
+    QueryPlan full = FullRacePlan(n, options_.budget);
+    full.features = features;
+    full.warm = learned_samples_.load(std::memory_order_relaxed) >=
+                options_.min_samples;
+    return full;
+  }
+
   std::vector<size_t> order;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -44,20 +59,9 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
       plan.warm = true;
     }
   }
-  // The classic unstaged, unnarrowed race needs no ordering decision at
-  // all — skip the rule pass and race in portfolio order.
-  const bool narrowing = options_.portfolio_limit > 0 &&
-                         options_.portfolio_limit < n && plan.warm;
-  const bool staging = options_.staged && plan.warm && n > 1 &&
-                       options_.budget.count() > 0;
-  if (!plan.warm) {
-    if (!options_.staged && options_.portfolio_limit == 0) {
-      QueryPlan full = FullRacePlan(n, options_.budget);
-      full.features = features;
-      return full;
-    }
-    order = RuleBasedOrder(features);
-  }
+  const bool narrowing = can_narrow && plan.warm;
+  const bool staging = can_stage && plan.warm;
+  if (!plan.warm) order = RuleBasedOrder(features);
 
   PlanStage full;
   full.budget = options_.budget;
@@ -120,12 +124,21 @@ QueryPlan QueryPlanner::Plan(const QueryFeatures& features) const {
     return plan;
   }
 
-  plan.name = narrowing
-                  ? "top" + std::to_string(full.steps.size())
-                  : std::string(plan.warm ? "full(ranked)" : "full(rules)");
+  plan.name = narrowing ? "top" + std::to_string(full.steps.size())
+                         : std::string("full(rules)");
   plan.escalation = EscalationPolicy::kNone;
   plan.stages.push_back(std::move(full));
   return plan;
+}
+
+bool QueryPlanner::CanNarrow() const {
+  const size_t n = portfolio_ != nullptr ? portfolio_->entries.size() : 0;
+  return options_.portfolio_limit > 0 && options_.portfolio_limit < n;
+}
+
+bool QueryPlanner::CanStage() const {
+  const size_t n = portfolio_ != nullptr ? portfolio_->entries.size() : 0;
+  return options_.staged && n > 1 && options_.budget.count() > 0;
 }
 
 std::vector<size_t> QueryPlanner::RuleBasedOrder(
@@ -164,13 +177,25 @@ std::vector<size_t> QueryPlanner::RuleBasedOrder(
 
 void QueryPlanner::Observe(const QueryFeatures& features,
                            size_t winner_variant) {
+  if (!CanNarrow() && !CanStage()) {
+    // No plan of this configuration reads the selector, and the options
+    // stay fixed until Configure() resets it: count the outcome (capped
+    // like the selector's store, so warmth and sample_count() keep their
+    // meaning) and skip the write.
+    size_t seen = learned_samples_.load(std::memory_order_relaxed);
+    while (seen < OnlineSelector::kDefaultMaxSamples &&
+           !learned_samples_.compare_exchange_weak(
+               seen, seen + 1, std::memory_order_relaxed)) {
+    }
+    return;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   selector_.Observe(features, winner_variant);
+  learned_samples_.store(selector_.sample_count(), std::memory_order_relaxed);
 }
 
 size_t QueryPlanner::sample_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return selector_.sample_count();
+  return learned_samples_.load(std::memory_order_relaxed);
 }
 
 }  // namespace psi

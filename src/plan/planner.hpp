@@ -6,22 +6,34 @@
 //                                              — cold-start variant order,
 //   * OnlineSelector::Rank                     — learned order, once warm.
 //
-// Given a query it emits a QueryPlan (plan/plan.hpp): cold, a single full
-// race in rule-preferred order; warm, optionally narrowed to the top
-// `portfolio_limit` variants and/or *staged* — the predicted winner first
-// under a probe budget (`probe_fraction` of the full budget), escalating
-// to the full race on a miss. This is the paper's §9 "predict which
-// version to employ per query" done as a serving-path optimization: the
-// prediction saves variant-runs when right and costs one short probe when
-// wrong, never a wrong answer.
+// Given a query it emits a QueryPlan (plan/plan.hpp). A plan that can
+// neither stage nor narrow (staging off or impossible, no portfolio
+// limit below the universe size) is a single full race in portfolio
+// order, warm or cold: nothing would act on a variant order, so the
+// selector is not consulted and planning costs O(1). Otherwise the order
+// is the rule-preferred one while cold and the learned ranking once warm,
+// and a warm plan is narrowed to the top `portfolio_limit` variants
+// and/or *staged* — the predicted winner first under a probe budget
+// (`probe_fraction` of the full budget), escalating to the full race on a
+// miss. This is the paper's §9 "predict which version to employ per
+// query" done as a serving-path optimization: the prediction saves
+// variant-runs when right and costs one short probe when wrong, never a
+// wrong answer.
+//
+// A configuration that can neither stage nor narrow never reads a learned
+// sample, so there Observe() only counts outcomes (for warmth and
+// sample_count()) and skips the selector.
 //
 // Thread-safe: Plan() and Observe() may be called concurrently from any
 // number of threads (the learning selector is the only mutable state,
-// guarded by an internal mutex). Configure() must not race with them.
+// guarded by an internal mutex; its sample count is mirrored in an atomic
+// so full-race plans report warmth without the lock). Configure() must
+// not race with them.
 
 #ifndef PSI_PLAN_PLANNER_HPP_
 #define PSI_PLAN_PLANNER_HPP_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <mutex>
@@ -49,7 +61,8 @@ struct QueryPlannerOptions {
   /// `portfolio_limit` ranked variants (the legacy engine narrowing).
   size_t portfolio_limit = 0;
   /// Observed race outcomes before ranking counts as warm; below this,
-  /// plans are single-stage full races in rule-preferred order.
+  /// staged or narrowed configurations plan single-stage full races in
+  /// rule-preferred order.
   size_t min_samples = 8;
   /// When > 1, a staged plan escalates a probe miss to "split the
   /// predicted winner across root-range workers"
@@ -99,12 +112,20 @@ class QueryPlanner {
   /// Cold-start order: entries agreeing with the rule-based selector's
   /// preferred (algorithm, rewriting) first, original order otherwise.
   std::vector<size_t> RuleBasedOrder(const QueryFeatures& f) const;
+  /// Whether a warm plan would narrow the full stage / stage a probe.
+  /// When neither holds, nothing reads the learned order.
+  bool CanNarrow() const;
+  bool CanStage() const;
 
   const Portfolio* portfolio_ = nullptr;
   const LabelStats* stats_ = nullptr;
   QueryPlannerOptions options_;
   mutable std::mutex mutex_;
   OnlineSelector selector_;  // guarded by mutex_
+  // Observed outcomes, capped at the selector's sample cap: a mirror of
+  // selector_.sample_count() (written under mutex_) when plans rank, a
+  // plain counter when they cannot (Observe then skips the selector).
+  std::atomic<size_t> learned_samples_{0};
 };
 
 }  // namespace psi

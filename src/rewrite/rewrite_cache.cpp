@@ -36,6 +36,19 @@ bool RewriteCache::StatsDependent(Rewriting r) {
   return true;  // unknown: be conservative, key per stats identity
 }
 
+std::shared_ptr<const RewrittenQuery> RewriteOrOriginal(
+    const Graph& query, Rewriting r, const LabelStats& stats,
+    uint64_t random_seed) {
+  auto rq = RewriteQuery(query, r, stats, random_seed);
+  if (rq.ok()) {
+    return std::make_shared<const RewrittenQuery>(std::move(rq).value());
+  }
+  auto fallback = std::make_shared<RewrittenQuery>();
+  fallback->graph = query;
+  fallback->rewriting = Rewriting::kOriginal;
+  return fallback;
+}
+
 std::shared_ptr<const RewrittenQuery> RewriteCache::Get(
     const Graph& query, Rewriting r, const LabelStats& stats,
     uint64_t random_seed) {
@@ -67,18 +80,8 @@ std::shared_ptr<const RewrittenQuery> RewriteCache::GetWithFingerprint(
   }
   // Compute outside the lock: rewriting is pure, and a duplicate compute
   // under contention is cheaper than serializing every rewrite.
-  auto rq = RewriteQuery(query, r, stats, random_seed);
-  std::shared_ptr<const RewrittenQuery> rewritten;
-  if (rq.ok()) {
-    rewritten =
-        std::make_shared<const RewrittenQuery>(std::move(rq).value());
-  } else {
-    // Same defensive fallback as RunPortfolio: race the original.
-    auto fallback = std::make_shared<RewrittenQuery>();
-    fallback->graph = query;
-    fallback->rewriting = Rewriting::kOriginal;
-    rewritten = std::move(fallback);
-  }
+  std::shared_ptr<const RewrittenQuery> rewritten =
+      RewriteOrOriginal(query, r, stats, random_seed);
   std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;
   Entry& e = map_[key];

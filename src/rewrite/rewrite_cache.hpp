@@ -41,6 +41,13 @@ namespace psi {
 /// records (num_vertices, num_edges) as a cheap guard.
 uint64_t QueryFingerprint(const Graph& query);
 
+/// RewriteQuery as a shared instance; if rewriting fails (it cannot for
+/// valid queries) the instance is an original copy, so the race runs the
+/// query unrewritten — the same defensive posture as RunPortfolio.
+std::shared_ptr<const RewrittenQuery> RewriteOrOriginal(
+    const Graph& query, Rewriting r, const LabelStats& stats,
+    uint64_t random_seed = 0);
+
 class RewriteCache {
  public:
   struct Stats {
@@ -56,12 +63,18 @@ class RewriteCache {
 
   /// The rewriting of `query` under `r`, computed on first use and
   /// memoized. Stats-dependent rewritings (the ILF family) key on
-  /// `stats.identity()`; the rest share one entry per query. Falls back
-  /// to an uncached original-copy entry if RewriteQuery fails (it cannot
-  /// for valid queries — same defensive posture as RunPortfolio).
+  /// `stats.identity()`; the rest share one entry per query. Computes
+  /// through RewriteOrOriginal.
   std::shared_ptr<const RewrittenQuery> Get(const Graph& query, Rewriting r,
                                             const LabelStats& stats,
                                             uint64_t random_seed = 0);
+
+  /// Get() with the query's fingerprint supplied by the caller
+  /// (`query_fp` must be QueryFingerprint(query)), so a caller looking up
+  /// several rewritings of one query hashes it once.
+  std::shared_ptr<const RewrittenQuery> GetWithFingerprint(
+      uint64_t query_fp, const Graph& query, Rewriting r,
+      const LabelStats& stats, uint64_t random_seed = 0);
 
   /// Convenience for the FTV runners: one instance per rewriting, in
   /// order (a failed rewriting yields the original-copy fallback, so the
@@ -103,10 +116,6 @@ class RewriteCache {
     uint32_t num_vertices = 0;
     uint64_t num_edges = 0;
   };
-
-  std::shared_ptr<const RewrittenQuery> GetWithFingerprint(
-      uint64_t query_fp, const Graph& query, Rewriting r,
-      const LabelStats& stats, uint64_t random_seed);
 
   mutable std::mutex mutex_;
   std::unordered_map<Key, Entry, KeyHash> map_;  // guarded by mutex_

@@ -21,11 +21,34 @@ void OnlineSelector::Observe(const QueryFeatures& f, size_t winner_variant) {
   Sample s;
   Featurize(f, s.x);
   s.winner = winner_variant;
-  samples_.push_back(s);
-  if (samples_.size() > max_samples_) {
-    samples_.erase(samples_.begin(),
-                   samples_.begin() + (samples_.size() - max_samples_));
+  if (samples_.size() < max_samples_) {
+    samples_.push_back(s);
+    return;
   }
+  if (max_samples_ == 0) {
+    samples_.clear();
+    return;
+  }
+  if (samples_.size() > max_samples_) {
+    // The cap shrank since the last Observe (set_max_samples left the
+    // ring oldest-first): drop the excess oldest samples once.
+    samples_.erase(samples_.begin(),
+                   samples_.begin() + (samples_.size() - max_samples_ + 1));
+    samples_.push_back(s);
+    return;
+  }
+  samples_[head_] = s;
+  head_ = head_ + 1 == samples_.size() ? 0 : head_ + 1;
+}
+
+void OnlineSelector::set_max_samples(size_t n) {
+  // Lay the ring out oldest-first so growing appends after the newest
+  // sample and shrinking can trim a prefix.
+  std::rotate(samples_.begin(),
+              samples_.begin() + static_cast<std::ptrdiff_t>(head_),
+              samples_.end());
+  head_ = 0;
+  max_samples_ = n;
 }
 
 std::vector<double> OnlineSelector::VoteScores(const QueryFeatures& f,
@@ -34,21 +57,29 @@ std::vector<double> OnlineSelector::VoteScores(const QueryFeatures& f,
   if (samples_.empty() || num_variants == 0) return scores;
   double q[6];
   Featurize(f, q);
-  // Distances to all samples; take the k nearest.
+  // Distances to all samples, paired with the sample's age (0 = oldest)
+  // so ties on distance go to the older sample; take the k nearest. The
+  // ring is scanned oldest-first as two contiguous segments.
   std::vector<std::pair<double, size_t>> dist;
   dist.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    double d2 = 0.0;
-    for (int j = 0; j < 6; ++j) {
-      const double d = q[j] - samples_[i].x[j];
-      d2 += d * d;
+  auto scan = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      double d2 = 0.0;
+      for (int j = 0; j < 6; ++j) {
+        const double d = q[j] - samples_[i].x[j];
+        d2 += d * d;
+      }
+      dist.emplace_back(d2, dist.size());
     }
-    dist.emplace_back(d2, i);
-  }
+  };
+  scan(head_, samples_.size());
+  scan(0, head_);
   const size_t k = std::min(k_, dist.size());
   std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
   for (size_t r = 0; r < k; ++r) {
-    const Sample& s = samples_[dist[r].second];
+    size_t i = head_ + dist[r].second;
+    if (i >= samples_.size()) i -= samples_.size();
+    const Sample& s = samples_[i];
     if (s.winner < num_variants) {
       scores[s.winner] += 1.0 / (1.0 + dist[r].first);
     }

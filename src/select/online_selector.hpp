@@ -8,6 +8,11 @@
 // space. No training phase, no external dependencies, thread-compatible
 // with an external lock (QueryPlanner, which owns the serving-path
 // instance, serializes access under its mutex).
+//
+// Samples live in a ring of at most set_max_samples() entries: learning
+// at the cap overwrites the oldest sample in O(1), and a prediction scans
+// the ring oldest-first (two contiguous segments), so ties on distance
+// still go to the older sample.
 
 #ifndef PSI_SELECT_ONLINE_SELECTOR_HPP_
 #define PSI_SELECT_ONLINE_SELECTOR_HPP_
@@ -33,6 +38,8 @@ class OnlineSelector {
   /// [0, num_variants). With no (or irrelevant) history returns
   /// kNoPrediction.
   static constexpr size_t kNoPrediction = static_cast<size_t>(-1);
+  /// The sample cap until set_max_samples() changes it.
+  static constexpr size_t kDefaultMaxSamples = 4096;
   size_t Predict(const QueryFeatures& f, size_t num_variants) const;
 
   /// Ranks all `num_variants` variants, most promising first; variants
@@ -43,7 +50,8 @@ class OnlineSelector {
 
   size_t sample_count() const { return samples_.size(); }
   /// Caps memory: oldest samples are dropped beyond this (default 4096).
-  void set_max_samples(size_t n) { max_samples_ = n; }
+  /// A smaller cap takes effect at the next Observe.
+  void set_max_samples(size_t n);
 
  private:
   struct Sample {
@@ -55,8 +63,11 @@ class OnlineSelector {
                                  size_t num_variants) const;
 
   size_t k_;
-  size_t max_samples_ = 4096;
+  size_t max_samples_ = kDefaultMaxSamples;
+  // Ring storage: samples_[head_] is the oldest sample. head_ is 0 unless
+  // the ring is full (samples_.size() == max_samples_).
   std::vector<Sample> samples_;
+  size_t head_ = 0;
 };
 
 }  // namespace psi

@@ -83,6 +83,17 @@ TEST(GfuTest, RejectsVertexCountBeyondVertexIds) {
   EXPECT_EQ(ds.status().code(), Status::Code::kCorruption);
 }
 
+TEST(GfuTest, EdgeEndpointBeyondVertexCountIsLineNumberedCorruption) {
+  LabelDict dict;
+  // Two vertices, but the edge names vertex 5 on line 6.
+  std::istringstream in("#g\n2\nA\nB\n1\n0 5\n");
+  auto ds = ReadGfu(in, &dict);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(ds.status().message().find("line 6:"), std::string::npos)
+      << ds.status().ToString();
+}
+
 TEST(GfuTest, HugeVertexCountThenEofIsCorruption) {
   LabelDict dict;
   // In range for 32-bit ids but backed by no vertex lines: the reader must

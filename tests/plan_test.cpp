@@ -254,6 +254,29 @@ TEST(RewriteCacheTest, StatsIndependentRewritingsShareAcrossStats) {
   EXPECT_EQ(cache.stats().hits, 3u);
 }
 
+TEST(RewriteCacheTest, FingerprintLookupSharesEntriesWithGet) {
+  const Graph q = testing::MakeStar({0, 1, 2, 1});
+  const LabelStats stats =
+      LabelStats::FromGraph(testing::MakeClique({0, 1, 1, 2, 2, 2}));
+  RewriteCache cache;
+  const uint64_t fp = QueryFingerprint(q);
+  // One hash, several rewritings: each lookup counts once, as via Get().
+  const auto orig = cache.GetWithFingerprint(fp, q, Rewriting::kOriginal,
+                                             stats);
+  const auto dnd = cache.GetWithFingerprint(fp, q, Rewriting::kDnd, stats);
+  EXPECT_EQ(cache.GetWithFingerprint(fp, q, Rewriting::kOriginal, stats)
+                .get(),
+            orig.get());
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.Get(q, Rewriting::kDnd, stats).get(), dnd.get());
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  const auto direct = RewriteQuery(q, Rewriting::kDnd, stats);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(dnd->new_id_of, direct->new_id_of);
+}
+
 TEST(RewriteCacheTest, DistinctQueriesGetDistinctEntries) {
   const LabelStats stats =
       LabelStats::FromGraph(testing::MakeClique({0, 1, 2}));
@@ -344,6 +367,113 @@ TEST(QueryPlannerTest, PortfolioLimitNarrowsTheWarmFullStage) {
   EXPECT_TRUE(warm.warm);
   EXPECT_EQ(warm.final_stage_size(), 2u);
   EXPECT_EQ(warm.stages.back().steps[0].variant, 1u);
+}
+
+TEST(QueryPlannerTest, WarmUnstagedUnnarrowedPlanIsAPortfolioOrderFullRace) {
+  PlannerFixture f;
+  const size_t n = f.portfolio.entries.size();
+  const Graph q = testing::MakePath({0, 1, 2});
+  const QueryFeatures features = ExtractFeatures(q, f.stats);
+
+  // Nothing can act on a variant order here: no staging, and a portfolio
+  // limit that is off or does not narrow.
+  for (const size_t limit : {size_t{0}, n, n + 3}) {
+    QueryPlannerOptions po;
+    po.budget = std::chrono::seconds(1);
+    po.portfolio_limit = limit;
+    po.min_samples = 4;
+    QueryPlanner a;
+    QueryPlanner b;
+    a.Configure(&f.portfolio, &f.stats, po);
+    b.Configure(&f.portfolio, &f.stats, po);
+    for (int i = 0; i < 6; ++i) a.Observe(features, 3);
+    for (int i = 0; i < 6; ++i) b.Observe(features, 5);
+
+    const QueryPlan pa = a.Plan(q);
+    const QueryPlan pb = b.Plan(q);
+    EXPECT_TRUE(pa.warm) << "limit=" << limit;
+    EXPECT_TRUE(pb.warm) << "limit=" << limit;
+    EXPECT_EQ(pa.escalation, EscalationPolicy::kNone);
+    ASSERT_EQ(pa.stages.size(), 1u);
+    ASSERT_EQ(pa.stages[0].steps.size(), n);
+    EXPECT_EQ(pa.stages[0].budget, po.budget);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(pa.stages[0].steps[i].variant, i) << "limit=" << limit;
+    }
+    // The learned history does not shape the plan.
+    EXPECT_EQ(FormatPlan(pa, f.portfolio), FormatPlan(pb, f.portfolio));
+  }
+
+  // Staging requested but impossible (uncapped budget): same plan.
+  QueryPlannerOptions po;
+  po.staged = true;
+  po.min_samples = 1;
+  QueryPlanner planner;
+  planner.Configure(&f.portfolio, &f.stats, po);
+  EXPECT_FALSE(planner.Plan(q).warm);
+  planner.Observe(features, 4);
+  const QueryPlan plan = planner.Plan(q);
+  EXPECT_TRUE(plan.warm);
+  ASSERT_EQ(plan.stages.size(), 1u);
+  ASSERT_EQ(plan.stages[0].steps.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(plan.stages[0].steps[i].variant, i);
+  }
+}
+
+TEST(QueryPlannerTest, ConcurrentPlanAndObserveStayWellFormed) {
+  PlannerFixture f;
+  const size_t n = f.portfolio.entries.size();
+  QueryPlannerOptions staged_po;
+  staged_po.budget = std::chrono::milliseconds(400);
+  staged_po.staged = true;
+  staged_po.min_samples = 4;
+  QueryPlannerOptions full_po = staged_po;
+  full_po.staged = false;
+  QueryPlanner staged;
+  QueryPlanner full;
+  staged.Configure(&f.portfolio, &f.stats, staged_po);
+  full.Configure(&f.portfolio, &f.stats, full_po);
+
+  const std::vector<Graph> queries = {
+      testing::MakePath({0, 1, 2}), testing::MakeCycle({0, 1, 2, 3}),
+      testing::MakeStar({1, 0, 2, 3}), testing::MakeClique({0, 1, 2})};
+  std::vector<QueryFeatures> features;
+  for (const Graph& q : queries) {
+    features.push_back(ExtractFeatures(q, f.stats));
+  }
+
+  // 4 threads x 1500 observations wrap the 4096-sample ring.
+  constexpr int kThreads = 4;
+  constexpr int kIters = 1500;
+  std::atomic<int> malformed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const size_t qi = static_cast<size_t>(t + i) % features.size();
+        const QueryPlan sp = staged.Plan(features[qi]);
+        const QueryPlan fp = full.Plan(features[qi]);
+        const bool staged_ok =
+            sp.warm ? sp.stages.size() == 2 &&
+                          sp.stages[0].steps.size() == 1 &&
+                          sp.stages[1].steps.size() == n
+                    : sp.stages.size() == 1 && sp.stages[0].steps.size() == n;
+        const bool full_ok = fp.stages.size() == 1 &&
+                             fp.stages[0].steps.size() == n &&
+                             fp.stages[0].steps[n - 1].variant == n - 1;
+        if (!staged_ok || !full_ok) malformed.fetch_add(1);
+        const size_t winner = (qi + static_cast<size_t>(i)) % n;
+        staged.Observe(features[qi], winner);
+        full.Observe(features[qi], winner);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(malformed.load(), 0);
+  EXPECT_EQ(staged.sample_count(), 4096u);
+  EXPECT_EQ(full.sample_count(), 4096u);
+  EXPECT_TRUE(full.Plan(features[0]).warm);
 }
 
 TEST(QueryPlannerTest, StagingRequiresAPositiveBudget) {
